@@ -7,9 +7,9 @@
 // shifted profit curve thousands of events later. This header removes the
 // hand from that loop: it states, as a pure function, what Table 2 requires
 // for EVERY (scheduler state, event) pair, and tests/quts_protocol_test.cc
-// exhaustively enumerates the pairs against the real schedulers
-// (QutsScheduler and ShardedQutsScheduler) through a small driver
-// interface.
+// exhaustively enumerates the pairs against the real QutsScheduler, at one
+// CPU and at two (CPU 0 with all work homed on its shard), through a small
+// driver interface.
 //
 // The abstract state collapses QUTS to the facts Table 2 branches on:
 //

@@ -15,7 +15,6 @@
 #include "obs/metric_registry.h"
 #include "qc/qc_generator.h"
 #include "sched/cpu_set_scheduler.h"
-#include "sched/scheduler.h"
 #include "server/server_config.h"
 #include "trace/trace.h"
 
@@ -134,12 +133,7 @@ struct ExperimentResult {
 
 // Runs `trace` through `scheduler` (not owned; used for a single run — make
 // a fresh one per experiment). The simulation runs until it fully drains.
-// The CpuSetScheduler overload is the primary entry point; the Scheduler
-// overload lifts the legacy policy through a SingleCpuAdapter and is
-// bit-identical to the pre-CPU-set runner.
 ExperimentResult RunExperiment(const Trace& trace, CpuSetScheduler* scheduler,
-                               const ExperimentOptions& options);
-ExperimentResult RunExperiment(const Trace& trace, Scheduler* scheduler,
                                const ExperimentOptions& options);
 // Convenience: builds the scheduler the spec describes (factory-owned for
 // the duration of the run) and runs the trace through it.

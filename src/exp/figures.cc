@@ -209,7 +209,8 @@ AdaptabilityResult RunFigure9(const Trace& trace, int intervals, double ratio,
   const TimeVaryingQcGenerator schedule =
       TimeVaryingQcGenerator::AlternatingPreference(duration, intervals,
                                                     ratio, shape);
-  std::unique_ptr<Scheduler> scheduler = MakeScheduler(SchedulerKind::kQuts);
+  std::unique_ptr<CpuSetScheduler> scheduler =
+      MakeScheduler(SchedulerKind::kQuts);
   ExperimentOptions options;
   options.server = QcServerConfig();
   options.qc_seed = qc_seed;

@@ -47,8 +47,7 @@ std::vector<std::string> ValidSchedulerNames() {
   return names;
 }
 
-std::unique_ptr<Scheduler> MakeScheduler(
-    SchedulerKind kind, const QutsScheduler::Options& quts_options) {
+std::unique_ptr<CpuSetScheduler> MakeScheduler(SchedulerKind kind) {
   switch (kind) {
     case SchedulerKind::kFifo:
       return std::make_unique<FifoScheduler>();
@@ -61,26 +60,19 @@ std::unique_ptr<Scheduler> MakeScheduler(
     case SchedulerKind::kFifoQueryHigh:
       return MakeFifoQueryHigh();
     case SchedulerKind::kQuts:
-      return std::make_unique<QutsScheduler>(quts_options);
+      return std::make_unique<QutsScheduler>(QutsScheduler::Options());
   }
   WEBDB_CHECK_MSG(false, "unknown scheduler kind");
   return nullptr;
 }
 
 std::unique_ptr<CpuSetScheduler> MakeScheduler(const SchedulerSpec& spec) {
-  WEBDB_CHECK(spec.topology.num_cpus >= 1);
-  if (spec.topology.num_cpus == 1) {
-    return std::make_unique<SingleCpuAdapter>(
-        MakeScheduler(spec.kind, spec.quts));
+  if (spec.kind == SchedulerKind::kQuts) {
+    return std::make_unique<QutsScheduler>(spec.quts, spec.topology);
   }
-  WEBDB_CHECK_MSG(spec.kind == SchedulerKind::kQuts,
-                  "only QUTS schedules multi-core (sharded QUTS)");
-  ShardedQutsScheduler::Options options;
-  options.quts = spec.quts;
-  options.num_cpus = spec.topology.num_cpus;
-  options.num_shards = spec.topology.num_shards;
-  options.enable_stealing = spec.topology.enable_stealing;
-  return std::make_unique<ShardedQutsScheduler>(options);
+  WEBDB_CHECK_MSG(spec.topology.num_cpus == 1,
+                  "only QUTS schedules more than one CPU");
+  return MakeScheduler(spec.kind);
 }
 
 std::string ToString(AdmissionKind kind) {

@@ -48,36 +48,6 @@ WebDatabaseServer::WebDatabaseServer(Simulator* simulator, Database* database,
   WEBDB_CHECK(database != nullptr && scheduler != nullptr);
 }
 
-WebDatabaseServer::WebDatabaseServer(Database* database, Scheduler* scheduler,
-                                     ServerConfig config)
-    : db_(database),
-      sched_(nullptr),
-      config_(config),
-      owned_sim_(std::make_unique<Simulator>()),
-      sim_(owned_sim_.get()),
-      owned_adapter_(std::make_unique<SingleCpuAdapter>(scheduler)),
-      cpus_(sim_, 1),
-      wake_events_(1, 0),
-      wake_times_(1, kSimTimeMax) {
-  WEBDB_CHECK(database != nullptr);
-  sched_ = owned_adapter_.get();
-}
-
-WebDatabaseServer::WebDatabaseServer(Simulator* simulator, Database* database,
-                                     Scheduler* scheduler, ServerConfig config)
-    : db_(database),
-      sched_(nullptr),
-      config_(config),
-      sim_(simulator),
-      owned_adapter_(std::make_unique<SingleCpuAdapter>(scheduler)),
-      cpus_(sim_, 1),
-      wake_events_(1, 0),
-      wake_times_(1, kSimTimeMax) {
-  WEBDB_CHECK(simulator != nullptr);
-  WEBDB_CHECK(database != nullptr);
-  sched_ = owned_adapter_.get();
-}
-
 void WebDatabaseServer::ReserveCapacity(size_t num_queries,
                                         size_t num_updates) {
   queries_.reserve(num_queries);

@@ -6,9 +6,8 @@
 // manager, a pluggable CPU-set scheduler, and the profit ledger. Clients
 // submit read-only queries (with Quality Contracts) and blind updates; the
 // server plays out the schedule and accounts response time, staleness, and
-// profit. The pool is sized from the scheduler's num_cpus(); legacy
-// single-CPU policies enter through an internally owned SingleCpuAdapter,
-// which reproduces the paper's single-CPU server call-for-call.
+// profit. The pool is sized from the scheduler's num_cpus(); a one-CPU
+// scheduler makes it the paper's single-CPU server.
 //
 // Lifecycle of a query:
 //   Submit -> scheduler queue -> dispatch (read-lock item set) -> [preempt /
@@ -34,7 +33,6 @@
 #include "qc/quality_contract.h"
 #include "server/fusion.h"
 #include "sched/cpu_set_scheduler.h"
-#include "sched/scheduler.h"
 #include "server/metrics.h"
 #include "server/server_config.h"
 #include "sim/processor_pool.h"
@@ -58,14 +56,6 @@ class WebDatabaseServer : private ShedSink {
   WebDatabaseServer(Simulator* simulator, Database* database,
                     CpuSetScheduler* scheduler,
                     ServerConfig config = ServerConfig());
-
-  // Single-CPU compatibility: wraps `scheduler` in an internally owned
-  // SingleCpuAdapter (num_cpus = 1). Behaviour is bit-identical to the
-  // pre-CPU-set server.
-  WebDatabaseServer(Database* database, Scheduler* scheduler,
-                    ServerConfig config = ServerConfig());
-  WebDatabaseServer(Simulator* simulator, Database* database,
-                    Scheduler* scheduler, ServerConfig config = ServerConfig());
 
   WebDatabaseServer(const WebDatabaseServer&) = delete;
   WebDatabaseServer& operator=(const WebDatabaseServer&) = delete;
@@ -97,7 +87,7 @@ class WebDatabaseServer : private ShedSink {
   const ProfitLedger& ledger() const { return ledger_; }
   const ServerMetrics& metrics() const { return metrics_; }
   // The registry backing the metrics, mutable so callers can pull a final
-  // Scheduler::ExportStats into it and snapshot (see exp/experiment.cc).
+  // CpuSetScheduler::ExportStats into it and snapshot (see exp/experiment.cc).
   MetricRegistry& metric_registry() { return metrics_.registry(); }
   const Database& database() const { return *db_; }
   const CpuSetScheduler& scheduler() const { return *sched_; }
@@ -224,8 +214,6 @@ class WebDatabaseServer : private ShedSink {
 
   std::unique_ptr<Simulator> owned_sim_;  // null when sharing
   Simulator* sim_;
-  // Owned adapter when constructed with a legacy single-CPU Scheduler.
-  std::unique_ptr<SingleCpuAdapter> owned_adapter_;
   ProcessorPool cpus_;
   LockManager locks_;
   UpdateRegister register_;

@@ -148,8 +148,8 @@ constexpr SimDuration kTtl = Millis(50);
 
 struct CacheHarness {
   Database db;
-  // Legacy single-CPU FIFO; the server wraps it in its SingleCpuAdapter.
-  std::unique_ptr<Scheduler> scheduler;
+  // Single-CPU FIFO.
+  std::unique_ptr<CpuSetScheduler> scheduler;
   std::unique_ptr<WebDatabaseServer> server;
   QcGenerator qc_gen{BalancedProfile(QcShape::kStep)};
   Rng qc_rng{42};

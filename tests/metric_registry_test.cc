@@ -108,7 +108,7 @@ TEST(MetricRegistryTest, FifoExportStatsUsesDefaultQueueGauges) {
   EXPECT_DOUBLE_EQ(registry.Value("scheduler.queue.updates"), 1.0);
 
   // Idempotent: draining the queue and re-exporting overwrites in place.
-  scheduler.PopNext(Millis(4));
+  scheduler.PopNext(0, Millis(4));
   scheduler.ExportStats(registry);
   EXPECT_DOUBLE_EQ(registry.Value("scheduler.queue.queries") +
                        registry.Value("scheduler.queue.updates"),

@@ -4,13 +4,14 @@
 // automatically invalidates any pending update on the same item, which is
 // simply dropped from the system. Entries are keyed by item id and hold the
 // transaction id of the pending (newest, not yet executing/committed) update.
+// Item ids are dense, so the table is a vector indexed by item (0 = no
+// pending update) that grows on demand to the largest id seen.
 
 #ifndef WEBDB_DB_UPDATE_REGISTER_H_
 #define WEBDB_DB_UPDATE_REGISTER_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -21,6 +22,10 @@ namespace webdb {
 class UpdateRegister {
  public:
   UpdateRegister() = default;
+
+  // Pre-sizes the table for item ids [0, num_items). Larger ids still grow
+  // it on demand.
+  void ReserveItems(size_t num_items);
 
   // Registers `txn_id` as the pending update for `item`. Returns the
   // transaction id of the previously pending update that this arrival
@@ -35,15 +40,16 @@ class UpdateRegister {
   // Transaction id pending for `item`, or 0 if none.
   uint64_t PendingFor(ItemId item) const;
 
-  size_t Size() const { return pending_.size(); }
+  size_t Size() const { return size_; }
   uint64_t TotalInvalidated() const { return total_invalidated_; }
 
   // Every (item, pending txn) entry, sorted by item id so callers iterate
-  // deterministically. For the invariant auditor and tests; O(n log n).
+  // deterministically. For the invariant auditor and tests; O(items).
   std::vector<std::pair<ItemId, uint64_t>> PendingEntries() const;
 
  private:
-  std::unordered_map<ItemId, uint64_t> pending_;
+  std::vector<uint64_t> pending_;  // indexed by ItemId; 0 = none pending
+  size_t size_ = 0;               // non-zero entries of pending_
   uint64_t total_invalidated_ = 0;
 };
 

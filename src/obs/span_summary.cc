@@ -151,6 +151,10 @@ SpanSummary SummarizeSpans(std::vector<TraceEvent> events) {
         // its (group) commit still counts as queue wait, so the anchor
         // stays put.
         break;
+      case TraceEventType::kCacheHit:
+        // Answered at submit without queueing or scanning; the hit's own
+        // kCommit (emitted by CommitQuery) closes the span with zero wait.
+        break;
     }
   }
 

@@ -13,8 +13,13 @@ DualQueueScheduler::DualQueueScheduler(Options options)
     name_ = options_.name;
   } else {
     name_ = options_.high_side == TxnKind::kUpdate ? "UH" : "QH";
-    name_ += "(" + ToString(options_.query_policy) + "/" +
-             ToString(options_.update_policy) + ")";
+    // Appended piecewise: GCC 12 flags `"(" + std::string` with a false
+    // -Wrestrict at -O2 and above, which breaks -Werror release builds.
+    name_.append("(")
+        .append(ToString(options_.query_policy))
+        .append("/")
+        .append(ToString(options_.update_policy))
+        .append(")");
   }
 }
 

@@ -32,6 +32,7 @@ WebDatabaseServer::WebDatabaseServer(Database* database,
       wake_events_(cpus_.num_cpus(), 0),
       wake_times_(cpus_.num_cpus(), kSimTimeMax) {
   WEBDB_CHECK(database != nullptr && scheduler != nullptr);
+  SizeItemTables();
 }
 
 WebDatabaseServer::WebDatabaseServer(Simulator* simulator, Database* database,
@@ -46,6 +47,27 @@ WebDatabaseServer::WebDatabaseServer(Simulator* simulator, Database* database,
       wake_times_(cpus_.num_cpus(), kSimTimeMax) {
   WEBDB_CHECK(simulator != nullptr);
   WEBDB_CHECK(database != nullptr && scheduler != nullptr);
+  SizeItemTables();
+}
+
+void WebDatabaseServer::SizeItemTables() {
+  const size_t num_items = static_cast<size_t>(db_->NumItems());
+  locks_.ReserveItems(num_items);
+  register_.ReserveItems(num_items);
+  active_updates_.assign(num_items, nullptr);
+}
+
+void WebDatabaseServer::SetActiveUpdate(Update& update) {
+  Update*& entry = active_updates_[update.item];
+  if (entry == nullptr) ++num_active_updates_;
+  entry = &update;
+}
+
+void WebDatabaseServer::ClearActiveUpdate(ItemId item) {
+  Update*& entry = active_updates_[item];
+  if (entry == nullptr) return;
+  entry = nullptr;
+  --num_active_updates_;
 }
 
 void WebDatabaseServer::ReserveCapacity(size_t num_queries,
@@ -194,9 +216,8 @@ Update* WebDatabaseServer::SubmitUpdate(ItemId item, double value,
     update.fifo_rank = old.fifo_rank;
     InvalidateUpdate(old);
   }
-  auto active_it = active_updates_.find(item);
-  if (active_it != active_updates_.end()) {
-    Update& old = *active_it->second;
+  if (active_updates_[item] != nullptr) {
+    Update& old = *active_updates_[item];
     update.fifo_rank = std::min(update.fifo_rank, old.fifo_rank);
     InvalidateUpdate(old);
   }
@@ -219,7 +240,7 @@ void WebDatabaseServer::InvalidateUpdate(Update& update) {
     sched_->RemoveQueued(&update, sim_->Now());
   }
   locks_.ReleaseAll(update.id);
-  active_updates_.erase(update.item);
+  ClearActiveUpdate(update.item);
   register_.Remove(update.item, update.id);
   update.state = TxnState::kInvalidated;
   ++metrics_.updates_invalidated;
@@ -308,7 +329,7 @@ void WebDatabaseServer::SnapshotMetrics() {
 bool WebDatabaseServer::IsQuiescent() const {
   return !cpus_.AnyBusy() && !sched_->HasWork() &&
          locks_.NumLockedItems() == 0 && register_.Size() == 0 &&
-         active_updates_.empty() && fusion_groups_.empty() &&
+         num_active_updates_ == 0 && fusion_groups_.empty() &&
          fusion_index_.Size() == 0;
 }
 
@@ -343,18 +364,21 @@ void WebDatabaseServer::ResolveConflicts(Transaction* txn, LockMode mode,
   }
 }
 
-bool WebDatabaseServer::HasRunningConflict(Transaction* txn) {
-  LockMode mode = LockMode::kShared;
-  const std::vector<ItemId>* items = nullptr;
-  std::vector<ItemId> update_items;
+const std::vector<ItemId>& WebDatabaseServer::LockItems(Transaction* txn,
+                                                        LockMode* mode) {
   if (txn->kind == TxnKind::kQuery) {
-    items = &static_cast<Query*>(txn)->items;
-  } else {
-    mode = LockMode::kExclusive;
-    update_items.push_back(static_cast<Update*>(txn)->item);
-    items = &update_items;
+    *mode = LockMode::kShared;
+    return static_cast<Query*>(txn)->items;
   }
-  for (TxnId holder_id : locks_.Conflicts(txn->id, mode, *items)) {
+  *mode = LockMode::kExclusive;
+  update_lock_items_[0] = static_cast<Update*>(txn)->item;
+  return update_lock_items_;
+}
+
+bool WebDatabaseServer::HasRunningConflict(Transaction* txn) {
+  LockMode mode;
+  const std::vector<ItemId>& items = LockItems(txn, &mode);
+  for (TxnId holder_id : locks_.Conflicts(txn->id, mode, items)) {
     if (Lookup(holder_id)->state == TxnState::kRunning) return true;
   }
   return false;
@@ -397,7 +421,7 @@ void WebDatabaseServer::Restart(Transaction* txn) {
     // A restarted update is still the newest arrival for its item (a newer
     // one would have invalidated it), so it goes back to pending state.
     auto& update = *static_cast<Update*>(txn);
-    active_updates_.erase(update.item);
+    ClearActiveUpdate(update.item);
     register_.Register(update.item, update.id);
     ++metrics_.update_restarts;
   }
@@ -424,13 +448,14 @@ void WebDatabaseServer::Dispatch(CpuId cpu, Transaction* txn) {
     AttachFusionMembers(query);
   } else {
     auto& update = *static_cast<Update*>(txn);
-    const std::vector<ItemId> items = {update.item};
     if (config_.enable_2plhp) {
-      ResolveConflicts(txn, LockMode::kExclusive, items);
-      locks_.Acquire(txn->id, LockMode::kExclusive, items);
+      LockMode mode;
+      const std::vector<ItemId>& items = LockItems(txn, &mode);
+      ResolveConflicts(txn, mode, items);
+      locks_.Acquire(txn->id, mode, items);
     }
     register_.Remove(update.item, update.id);
-    active_updates_[update.item] = &update;
+    SetActiveUpdate(update);
   }
   txn->state = TxnState::kRunning;
   txn->cpu = cpu;
@@ -502,7 +527,7 @@ void WebDatabaseServer::ApplyUpdate(Update& update) {
   // An entry filled after this update's arrival (on a then-fresh item)
   // must not survive the value changing underneath it.
   if (config_.fusion.result_cache) result_cache_.InvalidateItem(update.item);
-  active_updates_.erase(update.item);
+  ClearActiveUpdate(update.item);
   ++metrics_.updates_applied;
   metrics_.update_latency_ms.Add(ToMillis(update.ApplyLatency()));
   Trace(update, TraceEventType::kCommit, ToMillis(update.ApplyLatency()));
@@ -982,15 +1007,23 @@ void WebDatabaseServer::AuditInvariants() const {
                      "register entry for item " + std::to_string(item) +
                          " is not the newest arrival");
   }
-  // lint:allow(unordered-serialization) per-entry audit, order-free
-  for (const auto& [item, update] : active_updates_) {
+  size_t active = 0;
+  for (size_t item = 0; item < active_updates_.size(); ++item) {
+    const Update* update = active_updates_[item];
+    if (update == nullptr) continue;
+    ++active;
     WEBDB_AUDIT_THAT(Invariant::kRegisterNewestWins,
-                     update->item == item &&
+                     update->item == static_cast<ItemId>(item) &&
                          (update->state == TxnState::kQueued ||
                           update->state == TxnState::kRunning),
                      "active update on item " + std::to_string(item) +
                          " is neither running nor preempted");
   }
+  WEBDB_AUDIT_THAT(Invariant::kRegisterNewestWins,
+                   active == num_active_updates_,
+                   "active-update count " +
+                       std::to_string(num_active_updates_) + " but " +
+                       std::to_string(active) + " entries are set");
 
   // --- lock table ---------------------------------------------------------
   locks_.AuditConsistency();

@@ -23,7 +23,6 @@
 
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "db/database.h"
@@ -161,6 +160,14 @@ class WebDatabaseServer : private ShedSink {
   // on another CPU right now (multi-core only; an idle single-CPU server
   // has no running holders).
   bool HasRunningConflict(Transaction* txn);
+  // Lock mode and item set `txn` locks at dispatch. An update's set is the
+  // shared update_lock_items_, valid until the next call.
+  const std::vector<ItemId>& LockItems(Transaction* txn, LockMode* mode);
+  // Sizes the item-indexed tables from the database.
+  void SizeItemTables();
+  // Active-update table writes (see active_updates_).
+  void SetActiveUpdate(Update& update);
+  void ClearActiveUpdate(ItemId item);
   // 2PL-HP loser path: releases locks, resets progress, re-queues. The
   // loser may be preempted (queued) or running on another CPU (aborted).
   void Restart(Transaction* txn);
@@ -227,8 +234,14 @@ class WebDatabaseServer : private ShedSink {
 
   // Updates that were dispatched at least once and are still alive (running
   // or preempted); at most one per item. Needed for write-write drops of
-  // already-dispatched updates.
-  std::unordered_map<ItemId, Update*> active_updates_;
+  // already-dispatched updates. Indexed by ItemId (null = none) and sized to
+  // the database, whose ids SubmitUpdate checks; num_active_updates_ counts
+  // the non-null entries.
+  std::vector<Update*> active_updates_;
+  size_t num_active_updates_ = 0;
+  // The one-item lock set of the update being dispatched or checked, kept
+  // as a member so the update path builds no vector per transaction.
+  std::vector<ItemId> update_lock_items_ = std::vector<ItemId>(1);
 
   // Shared execution: candidate index over queued fusible queries, and the
   // live groups keyed by leader id (std::map: the auditor walks it).

@@ -8,13 +8,19 @@
 // which knows the schedulers' current priorities. With a single CPU, a
 // conflict can only involve the transaction being dispatched and
 // transactions that were preempted while holding locks.
+//
+// Layout (DESIGN.md §9): item ids are dense (0..N-1), so the lock table is a
+// vector indexed by item — an exclusive holder plus a small vector of shared
+// holders — that grows on demand to the largest id seen. The per-transaction
+// held-items index recycles its map nodes (and their item vectors'
+// capacity), so lock traffic stops allocating once both sides have reached
+// their high-water marks.
 
 #ifndef WEBDB_TXN_LOCK_MANAGER_H_
 #define WEBDB_TXN_LOCK_MANAGER_H_
 
 #include <cstddef>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "db/data_item.h"
@@ -27,6 +33,10 @@ enum class LockMode { kShared, kExclusive };
 class LockManager {
  public:
   LockManager() = default;
+
+  // Pre-sizes the lock table for item ids [0, num_items). Larger ids still
+  // grow it on demand.
+  void ReserveItems(size_t num_items);
 
   // Transactions (other than `txn`) whose current locks conflict with `txn`
   // locking `items` in `mode`. Duplicates removed; order unspecified.
@@ -47,13 +57,14 @@ class LockManager {
   // Shared holders of `item` (order unspecified).
   std::vector<TxnId> SharedHolders(ItemId item) const;
 
-  size_t NumLockedItems() const { return locks_.size(); }
+  size_t NumLockedItems() const { return locked_items_; }
 
   // Deep consistency audit (invariant [lock-table-consistent], DESIGN.md
   // §8): the per-item lock table and the per-transaction held-items index
   // must describe the same set of locks, no item may carry shared and
   // exclusive holders simultaneously (2PL-HP resolves every conflict before
-  // Acquire), and no empty entry may linger. Aborts on violation. O(locks);
+  // Acquire) or list a shared holder twice, and the locked-item count must
+  // match the table. Aborts on violation. O(items + locks);
   // compiled in every build, called automatically under -DWEBDB_AUDIT=ON
   // and directly by tests.
   void AuditConsistency() const;
@@ -61,12 +72,23 @@ class LockManager {
  private:
   struct ItemLocks {
     TxnId exclusive = 0;
-    std::unordered_set<TxnId> shared;
+    std::vector<TxnId> shared;  // distinct holders, order unspecified
     bool Empty() const { return exclusive == 0 && shared.empty(); }
   };
+  using HeldIndex = std::unordered_map<TxnId, std::vector<ItemId>>;
 
-  std::unordered_map<ItemId, ItemLocks> locks_;
-  std::unordered_map<TxnId, std::vector<ItemId>> held_;
+  // Table entry of `item`, or nullptr when it lies beyond the table (and so
+  // is unlocked).
+  const ItemLocks* Find(ItemId item) const;
+  // `txn`'s held-items list, created from a recycled node if need be.
+  std::vector<ItemId>& HeldBy(TxnId txn);
+
+  std::vector<ItemLocks> locks_;  // indexed by ItemId
+  size_t locked_items_ = 0;       // entries with at least one holder
+  HeldIndex held_;                // only transactions holding a lock
+  // Nodes released by ReleaseAll, item vectors cleared but keeping their
+  // capacity, for HeldBy to reuse.
+  std::vector<HeldIndex::node_type> spare_held_;
 };
 
 }  // namespace webdb

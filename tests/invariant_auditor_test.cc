@@ -1,5 +1,6 @@
 #include "audit/invariant_auditor.h"
 
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,9 +9,29 @@
 #include "exp/scheduler_factory.h"
 #include "qc/qc_generator.h"
 #include "server/web_database_server.h"
+#include "sim/simulator.h"
 #include "util/rng.h"
 
 namespace webdb {
+
+// Corrupts the simulator's timeout lane so the death tests below can show
+// that [event-arena-consistent] catches each kind of damage.
+class SimulatorTestPeer {
+ public:
+  static void SwapLaneTimes(Simulator& sim, size_t a, size_t b) {
+    std::swap(sim.lane_[sim.lane_head_ + a].time,
+              sim.lane_[sim.lane_head_ + b].time);
+  }
+  static void PointLaneEntryAtHeap(Simulator& sim, size_t i) {
+    sim.slots_[sim.lane_[sim.lane_head_ + i].slot].heap_pos = 0;
+  }
+  static void KillLaneHead(Simulator& sim) {
+    sim.lane_[sim.lane_head_].slot = Simulator::kDeadEntry;
+    ++sim.lane_dead_;
+  }
+  static void MiscountTombstones(Simulator& sim) { ++sim.lane_dead_; }
+};
+
 namespace {
 
 // --- FNV-1a known-answer vectors --------------------------------------------
@@ -161,6 +182,63 @@ TEST(InvariantAuditorDeathTest, RendezvousGroupAuditThatAbortsOnViolation) {
                        "group formed with rendezvous disabled"),
       "rendezvous-group.*rendezvous disabled");
 }
+
+// --- simulator timeout lane --------------------------------------------------
+
+// Three lane entries (monotone timeouts) plus one heap entry.
+void FillLane(Simulator& sim) {
+  for (SimTime t : {100, 200, 300}) sim.ScheduleAt(t, [] {});
+  sim.ScheduleAt(50, [] {});
+}
+
+TEST(SimulatorAuditTest, HealthyLanePassesAndCounts) {
+  Simulator sim;
+  FillLane(sim);
+  audit::ResetCounters();
+  sim.AuditConsistency();
+  EXPECT_GT(audit::ChecksPerformed(audit::Invariant::kEventArenaConsistent),
+            0u);
+}
+
+TEST(SimulatorAuditDeathTest, LaneOutOfOrderAborts) {
+  Simulator sim;
+  FillLane(sim);
+  SimulatorTestPeer::SwapLaneTimes(sim, 0, 1);
+  EXPECT_DEATH(sim.AuditConsistency(), "event-arena-consistent.*order");
+}
+
+TEST(SimulatorAuditDeathTest, LaneEntryNotPointedBackAtAborts) {
+  Simulator sim;
+  FillLane(sim);
+  SimulatorTestPeer::PointLaneEntryAtHeap(sim, 1);
+  EXPECT_DEATH(sim.AuditConsistency(),
+               "event-arena-consistent.*does not point back");
+}
+
+TEST(SimulatorAuditDeathTest, DeadLaneHeadAborts) {
+  Simulator sim;
+  FillLane(sim);
+  SimulatorTestPeer::KillLaneHead(sim);
+  EXPECT_DEATH(sim.AuditConsistency(), "event-arena-consistent.*tombstone");
+}
+
+TEST(SimulatorAuditDeathTest, TombstoneMiscountAborts) {
+  Simulator sim;
+  FillLane(sim);
+  SimulatorTestPeer::MiscountTombstones(sim);
+  EXPECT_DEATH(sim.AuditConsistency(), "event-arena-consistent.*tombstone");
+}
+
+// In audit builds Step checks the entry it pops on every pop.
+#ifdef WEBDB_AUDIT
+TEST(SimulatorAuditDeathTest, StepCatchesBrokenLaneHead) {
+  Simulator sim;
+  sim.ScheduleAt(100, [] {});
+  sim.ScheduleAt(200, [] {});
+  SimulatorTestPeer::PointLaneEntryAtHeap(sim, 0);
+  EXPECT_DEATH(sim.Step(), "event-arena-consistent");
+}
+#endif
 
 // --- whole-server audit and end-state hash -----------------------------------
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include "sched/fifo_scheduler.h"
 #include "server/web_database_server.h"
 #include "util/logging.h"
+#include "util/rng.h"
 
 namespace webdb {
 namespace {
@@ -22,6 +24,8 @@ TEST(LockManagerTest, SharedLocksCoexist) {
   EXPECT_TRUE(lm.HoldsAny(2));
   EXPECT_TRUE(lm.HoldsAny(4));
   const auto holders = lm.SharedHolders(2);
+  EXPECT_EQ(std::set<TxnId>(holders.begin(), holders.end()),
+            (std::set<TxnId>{2, 4}));
   EXPECT_EQ(holders.size(), 2u);
 }
 
@@ -84,6 +88,99 @@ TEST(LockManagerTest, ReentrantAcquireIsIdempotent) {
   lm.Acquire(2, LockMode::kShared, {1, 2});  // re-acquire 1, add 2
   lm.ReleaseAll(2);
   EXPECT_EQ(lm.NumLockedItems(), 0u);
+}
+
+TEST(LockManagerTest, ReentrantSharedAcquireKeepsOneHolder) {
+  LockManager lm;
+  lm.Acquire(2, LockMode::kShared, {4});
+  lm.Acquire(2, LockMode::kShared, {4, 4});
+  lm.Acquire(6, LockMode::kShared, {4});
+  lm.Acquire(2, LockMode::kShared, {4});
+  const auto holders = lm.SharedHolders(4);
+  EXPECT_EQ(std::multiset<TxnId>(holders.begin(), holders.end()),
+            (std::multiset<TxnId>{2, 6}));
+  EXPECT_EQ(lm.NumLockedItems(), 1u);
+  lm.AuditConsistency();
+  lm.ReleaseAll(2);
+  EXPECT_EQ(lm.SharedHolders(4), (std::vector<TxnId>{6}));
+  lm.ReleaseAll(6);
+  EXPECT_TRUE(lm.SharedHolders(4).empty());
+  EXPECT_EQ(lm.NumLockedItems(), 0u);
+}
+
+TEST(LockManagerTest, ItemsBeyondTheReservedRangeGrowTheTable) {
+  LockManager lm;
+  lm.ReserveItems(4);
+  // Unseen items are simply unlocked, on either side of the reserved range.
+  EXPECT_EQ(lm.ExclusiveHolder(1000), 0u);
+  EXPECT_TRUE(lm.SharedHolders(1000).empty());
+  EXPECT_TRUE(lm.Conflicts(3, LockMode::kExclusive, {2, 1000}).empty());
+  lm.Acquire(3, LockMode::kExclusive, {1000});
+  lm.Acquire(5, LockMode::kShared, {2, 999});
+  EXPECT_EQ(lm.ExclusiveHolder(1000), 3u);
+  EXPECT_EQ(lm.Conflicts(7, LockMode::kExclusive, {999, 1000}),
+            (std::vector<TxnId>{3, 5}));
+  EXPECT_EQ(lm.NumLockedItems(), 3u);
+  lm.AuditConsistency();
+  lm.ReleaseAll(3);
+  lm.ReleaseAll(5);
+  EXPECT_EQ(lm.NumLockedItems(), 0u);
+  EXPECT_FALSE(lm.HoldsAny(3));
+  // A default-constructed manager grows from nothing.
+  LockManager fresh;
+  fresh.Acquire(9, LockMode::kShared, {77});
+  EXPECT_EQ(fresh.SharedHolders(77), (std::vector<TxnId>{9}));
+  fresh.ReleaseAll(9);
+  EXPECT_EQ(fresh.NumLockedItems(), 0u);
+}
+
+TEST(LockManagerTest, AuditConsistencyPassesOnAChurnedTable) {
+  // 2PL-HP-shaped churn: queries share-lock item sets, updates take one
+  // exclusive lock after evicting every conflicting holder, and random
+  // transactions release. Transaction ids are never reused, so the held
+  // index recycles its nodes many times over.
+  LockManager lm;
+  lm.ReserveItems(16);
+  Rng rng(5);
+  std::set<TxnId> holding;
+  TxnId next_id = 1;
+  for (int round = 0; round < 5000; ++round) {
+    const TxnId txn = next_id++;
+    if (rng.Bernoulli(0.6)) {
+      std::vector<ItemId> items;
+      for (int k = rng.UniformInt(1, 4); k > 0; --k) {
+        items.push_back(static_cast<ItemId>(rng.UniformInt(0, 20)));
+      }
+      for (TxnId loser : lm.Conflicts(txn, LockMode::kShared, items)) {
+        lm.ReleaseAll(loser);
+        holding.erase(loser);
+      }
+      lm.Acquire(txn, LockMode::kShared, items);
+    } else {
+      const std::vector<ItemId> item = {
+          static_cast<ItemId>(rng.UniformInt(0, 20))};
+      for (TxnId loser : lm.Conflicts(txn, LockMode::kExclusive, item)) {
+        lm.ReleaseAll(loser);
+        holding.erase(loser);
+      }
+      lm.Acquire(txn, LockMode::kExclusive, item);
+    }
+    holding.insert(txn);
+    if (holding.size() > 6) {
+      auto victim = holding.begin();
+      std::advance(victim, rng.UniformInt(0, holding.size() - 1));
+      lm.ReleaseAll(*victim);
+      holding.erase(victim);
+    }
+    if (round % 64 == 0) lm.AuditConsistency();
+  }
+  lm.AuditConsistency();
+  for (TxnId txn : holding) {
+    EXPECT_TRUE(lm.HoldsAny(txn));
+    lm.ReleaseAll(txn);
+  }
+  EXPECT_EQ(lm.NumLockedItems(), 0u);
+  lm.AuditConsistency();
 }
 
 TEST(LockManagerTest, ExclusiveThenReleaseAllowsNewExclusive) {
@@ -167,6 +264,14 @@ TEST(LockManagerServerTest, RestartThenReacquireUnderPriorityInversion) {
   EXPECT_FALSE(server.IsCpuBusy());
   EXPECT_TRUE(server.IsQuiescent());
   server.AuditInvariants();
+}
+
+// The item table is indexed by id, so a negative id must abort in every
+// build instead of indexing before the table.
+TEST(LockManagerDeathTest, NegativeItemAborts) {
+  LockManager lm;
+  lm.ReserveItems(8);
+  EXPECT_DEATH(lm.Acquire(2, LockMode::kShared, {-1}), "item >= 0");
 }
 
 // The conflict-freedom precondition of Acquire is debug-tier

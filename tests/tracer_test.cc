@@ -100,6 +100,24 @@ TEST(TracerTest, EventTypeNamesRoundTrip) {
   EXPECT_FALSE(TraceEventTypeFromName("bogus", &unused));
 }
 
+// A result-cache hit is answered at submit: it never enqueues or runs, and
+// its own kCommit closes the span with zero queue wait and zero service.
+TEST(TracerTest, CacheHitSpanCommitsWithZeroWait) {
+  Tracer tracer;
+  tracer.Record(Millis(5), 4, false, TraceEventType::kSubmit);
+  tracer.Record(Millis(5), 4, false, TraceEventType::kCacheHit);
+  tracer.Record(Millis(5), 4, false, TraceEventType::kCommit, 0.25);
+
+  const SpanSummary summary = SummarizeSpans(tracer.events());
+  EXPECT_EQ(summary.num_events, 3);
+  EXPECT_EQ(summary.queries.committed, 1);
+  EXPECT_EQ(summary.updates.committed, 0);
+  ASSERT_EQ(summary.queries.queue_wait_ms.count, 1);
+  EXPECT_DOUBLE_EQ(summary.queries.queue_wait_ms.max, 0.0);
+  EXPECT_DOUBLE_EQ(summary.queries.service_ms.max, 0.0);
+  EXPECT_DOUBLE_EQ(summary.queries.response_ms.max, 0.0);
+}
+
 // End-to-end: run a server with the tracer attached and check the lifecycle
 // stream agrees with the server's own counters, both directly and through
 // the span summarizer (the `trace_tool summarize-spans` path).

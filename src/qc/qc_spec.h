@@ -3,7 +3,7 @@
 // Grammar (whitespace-separated fields after the shape):
 //
 //   spec  := shape field*
-//   shape := "step" | "linear" | "exp"
+//   shape := "step" | "linear"
 //   field := "qos=" money "@" duration     (QoS: profit @ rt cutoff)
 //          | "qod=" money "@" number       (QoD: profit @ staleness cutoff)
 //          | "mode=" ("independent" | "dependent")
@@ -11,13 +11,14 @@
 //   money    := float, optional leading '$'
 //   duration := float, optional unit "ms" (default) or "s"
 //
+// Profits must be non-negative and both cutoffs positive.
+//
 // Examples:
 //   "step qos=$1@50ms qod=$2@1"                 (Figure 2 of the paper)
 //   "linear qos=2@0.05s qod=1@2 mode=dependent" (Figure 3, QoS-dependent)
-//   "exp qos=4@20ms qod=6@1"   (exponential decay with that scale; the
-//                               cutoff falls where profit decays to 1%)
 //
-// Omitted dimensions default to zero profit.
+// The shape applies to both dimensions. An omitted dimension states no
+// preference: zero profit, with a zero cutoff.
 
 #ifndef WEBDB_QC_QC_SPEC_H_
 #define WEBDB_QC_QC_SPEC_H_

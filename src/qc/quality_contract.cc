@@ -6,6 +6,26 @@
 
 namespace webdb {
 
+namespace {
+
+// Profit of one dimension at metric value `x`.
+double Profit(QcShape shape, double max, double cutoff, double x) {
+  WEBDB_CHECK(x >= 0.0);
+  if (!(x < cutoff)) return 0.0;
+  return shape == QcShape::kStep ? max : max * (1.0 - x / cutoff);
+}
+
+void AppendDimension(std::ostringstream& out, QcShape shape, double max,
+                     double cutoff) {
+  if (max == 0.0 && cutoff == 0.0) {
+    out << "zero";
+    return;
+  }
+  out << ToString(shape) << "(max=$" << max << ", cutoff=" << cutoff << ")";
+}
+
+}  // namespace
+
 std::string ToString(QcShape shape) {
   return shape == QcShape::kStep ? "step" : "linear";
 }
@@ -15,45 +35,25 @@ std::string ToString(QcCombination combination) {
                                                        : "qos-dependent";
 }
 
-QualityContract::QualityContract()
-    : qos_fn_(std::make_shared<ZeroProfitFunction>()),
-      qod_fn_(std::make_shared<ZeroProfitFunction>()),
-      combination_(QcCombination::kQosIndependent) {}
-
-QualityContract::QualityContract(
-    std::shared_ptr<const ProfitFunction> qos_fn,
-    std::shared_ptr<const ProfitFunction> qod_fn, QcCombination combination)
-    : qos_fn_(std::move(qos_fn)),
-      qod_fn_(std::move(qod_fn)),
-      combination_(combination) {
-  WEBDB_CHECK(qos_fn_ != nullptr && qod_fn_ != nullptr);
-}
-
 QualityContract QualityContract::Make(QcShape shape, double qos_max,
                                       SimDuration rt_max, double qod_max,
                                       double uu_max,
                                       QcCombination combination) {
   WEBDB_CHECK(rt_max > 0);
   WEBDB_CHECK(uu_max > 0);
-  const double rt_max_ms = ToMillis(rt_max);
-  std::shared_ptr<const ProfitFunction> qos, qod;
-  if (shape == QcShape::kStep) {
-    qos = std::make_shared<StepProfitFunction>(qos_max, rt_max_ms);
-    qod = std::make_shared<StepProfitFunction>(qod_max, uu_max);
-  } else {
-    qos = std::make_shared<LinearProfitFunction>(qos_max, rt_max_ms);
-    qod = std::make_shared<LinearProfitFunction>(qod_max, uu_max);
-  }
-  return QualityContract(std::move(qos), std::move(qod), combination);
+  WEBDB_CHECK(qos_max >= 0.0);
+  WEBDB_CHECK(qod_max >= 0.0);
+  return QualityContract(shape, qos_max, ToMillis(rt_max), qod_max, uu_max,
+                         combination);
 }
 
 double QualityContract::QosProfit(SimDuration response_time) const {
   WEBDB_CHECK(response_time >= 0);
-  return qos_fn_->Profit(ToMillis(response_time));
+  return Profit(shape_, qos_max_, rt_max_ms_, ToMillis(response_time));
 }
 
 double QualityContract::QodProfit(double staleness) const {
-  return qod_fn_->Profit(staleness);
+  return Profit(shape_, qod_max_, uu_max_, staleness);
 }
 
 QualityContract::Evaluation QualityContract::Evaluate(
@@ -68,14 +68,16 @@ QualityContract::Evaluation QualityContract::Evaluate(
 }
 
 SimDuration QualityContract::rt_max() const {
-  return static_cast<SimDuration>(qos_fn_->Cutoff() * 1000.0);
+  return static_cast<SimDuration>(rt_max_ms_ * 1000.0);
 }
 
 std::string QualityContract::DebugString() const {
   std::ostringstream out;
-  out << "QC{qos=" << qos_fn_->DebugString()
-      << ", qod=" << qod_fn_->DebugString() << ", " << ToString(combination_)
-      << "}";
+  out << "QC{qos=";
+  AppendDimension(out, shape_, qos_max_, rt_max_ms_);
+  out << ", qod=";
+  AppendDimension(out, shape_, qod_max_, uu_max_);
+  out << ", " << ToString(combination_) << "}";
   return out.str();
 }
 

@@ -26,14 +26,6 @@ TEST(QcSpecTest, ParsesLinearWithSecondsAndMode) {
   EXPECT_DOUBLE_EQ(qc.QosProfit(Millis(25)), 1.0);  // linear midpoint
 }
 
-TEST(QcSpecTest, ParsesExpShape) {
-  QualityContract qc;
-  ASSERT_TRUE(ParseQcSpec("exp qos=4@20ms qod=6@1", &qc));
-  EXPECT_DOUBLE_EQ(qc.qos_max(), 4.0);
-  // exp decay: at x == scale the profit is max/e.
-  EXPECT_NEAR(qc.QosProfit(Millis(20)), 4.0 / 2.718281828, 1e-6);
-}
-
 TEST(QcSpecTest, OmittedDimensionIsZero) {
   QualityContract qc;
   ASSERT_TRUE(ParseQcSpec("step qos=10@100ms", &qc));
@@ -73,11 +65,14 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         BadSpec{"", "empty"},
         BadSpec{"triangle qos=1@1ms", "unknown shape"},
+        BadSpec{"exp qos=4@20ms qod=6@1", "unknown shape"},
         BadSpec{"step qos", "key=value"},
         BadSpec{"step qos=1", "profit@cutoff"},
         BadSpec{"step qos=abc@50ms", "bad profit"},
         BadSpec{"step qos=1@-5ms", "bad response-time cutoff"},
+        BadSpec{"step qos=1@nanms", "bad response-time cutoff"},
         BadSpec{"step qod=1@zero", "bad staleness cutoff"},
+        BadSpec{"step qod=1@nan", "bad staleness cutoff"},
         BadSpec{"step mode=sometimes", "bad mode"},
         BadSpec{"step speed=1@1", "unknown field"}));
 

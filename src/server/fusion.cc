@@ -22,18 +22,12 @@ uint64_t MixU64(uint64_t hash, uint64_t value) {
   return hash;
 }
 
-std::vector<ItemId> SortedItems(const Query& query) {
-  std::vector<ItemId> items = query.items;
-  std::sort(items.begin(), items.end());
-  return items;
-}
-
 // Exact-match compatibility behind the signature: same service class and
 // same item multiset. The signature is a fast filter; this is the truth.
 bool ExactCompatible(const Query& a, const Query& b) {
   if (ServiceClassOf(a.type) != ServiceClassOf(b.type)) return false;
   if (a.items.size() != b.items.size()) return false;
-  return SortedItems(a) == SortedItems(b);
+  return std::is_permutation(a.items.begin(), a.items.end(), b.items.begin());
 }
 
 bool IsSubsetJoiner(const Query& query) {
@@ -44,9 +38,20 @@ bool IsSubsetJoiner(const Query& query) {
 }  // namespace
 
 uint64_t FusionIndex::Signature(const Query& query) {
+  // Hashes the items in sorted order. Item lists usually arrive sorted (every
+  // single-item lookup does) and are hashed in place; the rest are sorted
+  // into a per-thread buffer that is reused, so no call allocates once it
+  // has grown.
+  const std::vector<ItemId>* items = &query.items;
+  if (!std::is_sorted(items->begin(), items->end())) {
+    thread_local std::vector<ItemId> sorted;
+    sorted.assign(items->begin(), items->end());
+    std::sort(sorted.begin(), sorted.end());
+    items = &sorted;
+  }
   uint64_t hash = kFnvOffset;
   hash = MixU64(hash, static_cast<uint64_t>(ServiceClassOf(query.type)));
-  for (ItemId item : SortedItems(query)) {
+  for (ItemId item : *items) {
     hash = MixU64(hash, static_cast<uint64_t>(item) + 1);
   }
   return hash;
@@ -180,7 +185,8 @@ void FusionResultCache::Fill(const Query& query,
   entry.source = query.id;
   entry.result = std::move(result);
   entry.service_class = ServiceClassOf(query.type);
-  entry.sorted_items = SortedItems(query);
+  entry.sorted_items = query.items;
+  std::sort(entry.sorted_items.begin(), entry.sorted_items.end());
   entry.domain = domain;
   entry.commit_time = now;
   entry.expiry = now + ttl;
@@ -211,7 +217,9 @@ const FusionResultCache::Entry* FusionResultCache::Lookup(const Query& query,
   const auto it = entries_.find(sig);
   if (it != entries_.end() &&
       it->second.service_class == ServiceClassOf(query.type) &&
-      it->second.sorted_items == SortedItems(query)) {
+      it->second.sorted_items.size() == query.items.size() &&
+      std::is_permutation(query.items.begin(), query.items.end(),
+                          it->second.sorted_items.begin())) {
     // TTL is inclusive: a lookup exactly at expiry still hits.
     if (now <= it->second.expiry) return &it->second;
     EraseEntry(it);
@@ -219,18 +227,24 @@ const FusionResultCache::Entry* FusionResultCache::Lookup(const Query& query,
   if (!subset || !IsSubsetJoiner(query)) return nullptr;
   const auto row = by_item_.find(query.items[0]);
   if (row == by_item_.end()) return nullptr;
-  // Reap expired covering entries, then pick the freshest survivor (ties
-  // broken by lowest signature — a total, host-independent order).
-  const std::vector<uint64_t> sigs = row->second;  // copy: EraseEntry edits
-  for (uint64_t s : sigs) {
-    const auto e = entries_.find(s);
-    if (e != entries_.end() && now > e->second.expiry) EraseEntry(e);
+  // Reap expired covering entries in row order, then pick the freshest
+  // survivor (ties broken by lowest signature — a total, host-independent
+  // order). EraseEntry drops the reaped signature from this row in place,
+  // where it sits once, and drops the row with its last signature.
+  std::vector<uint64_t>& sigs = row->second;
+  for (size_t i = 0; i < sigs.size();) {
+    const auto e = entries_.find(sigs[i]);
+    if (e == entries_.end() || now <= e->second.expiry) {
+      ++i;
+      continue;
+    }
+    const bool last = sigs.size() == 1;
+    EraseEntry(e);
+    if (last) return nullptr;
   }
-  const auto live_row = by_item_.find(query.items[0]);
-  if (live_row == by_item_.end()) return nullptr;
   const Entry* best = nullptr;
   uint64_t best_sig = 0;
-  for (uint64_t s : live_row->second) {
+  for (uint64_t s : sigs) {
     const auto e = entries_.find(s);
     WEBDB_CHECK(e != entries_.end());
     const Entry& entry = e->second;
@@ -244,11 +258,12 @@ const FusionResultCache::Entry* FusionResultCache::Lookup(const Query& query,
 }
 
 void FusionResultCache::InvalidateItem(ItemId item) {
-  const auto row = by_item_.find(item);
-  if (row == by_item_.end()) return;
-  const std::vector<uint64_t> sigs = row->second;  // copy: EraseEntry edits
-  for (uint64_t sig : sigs) {
-    const auto it = entries_.find(sig);
+  // Each EraseEntry drops its signature from this row, and the row itself
+  // with the last one. Erasure order does not matter: every row keeps its
+  // survivors in their order.
+  for (auto row = by_item_.find(item); row != by_item_.end();
+       row = by_item_.find(item)) {
+    const auto it = entries_.find(row->second.back());
     WEBDB_CHECK(it != entries_.end());
     EraseEntry(it);
   }

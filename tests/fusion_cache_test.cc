@@ -142,7 +142,107 @@ TEST(FusionIndexTest, CollectStaysExactPastTheLinearScanThreshold) {
   for (size_t i = 0; i < 25; ++i) EXPECT_EQ(members[i], twins[i].id);
 }
 
+TEST(FusionIndexTest, SignatureIsPinnedAndIgnoresItemOrder) {
+  // The signature orders the cache's commit-time ties and both audit maps,
+  // so its value is pinned, for sorted and unsorted item lists alike.
+  const Query sorted = MakeIndexQuery(1, QueryType::kAggregation, {1, 2, 3});
+  const Query shuffled = MakeIndexQuery(2, QueryType::kAggregation, {3, 1, 2});
+  EXPECT_EQ(FusionIndex::Signature(sorted), 0x2d590fbc1013e107ull);
+  EXPECT_EQ(FusionIndex::Signature(shuffled), 0x2d590fbc1013e107ull);
+  EXPECT_EQ(FusionIndex::Signature(MakeIndexQuery(3, QueryType::kLookup, {7})),
+            0x9af45f686d6b7d4bull);
+  // Same items, other service class: another signature.
+  EXPECT_NE(FusionIndex::Signature(
+                MakeIndexQuery(4, QueryType::kLookup, {1, 2, 3})),
+            FusionIndex::Signature(sorted));
+}
+
+TEST(FusionIndexTest, ExactMatchComparesItemMultisets) {
+  FusionIndex index;
+  Query shuffled = MakeIndexQuery(10, QueryType::kAggregation, {3, 1, 2});
+  Query doubled = MakeIndexQuery(11, QueryType::kAggregation, {1, 1, 2});
+  index.Insert(&shuffled);
+  index.Insert(&doubled);
+  std::vector<TxnId> members;
+  index.CollectCandidates(
+      MakeIndexQuery(1, QueryType::kAggregation, {2, 3, 1}),
+      /*subset=*/false, /*max_members=*/64, &members);
+  EXPECT_EQ(members, std::vector<TxnId>({shuffled.id}));
+  members.clear();
+  index.CollectCandidates(
+      MakeIndexQuery(2, QueryType::kAggregation, {2, 1, 2}),
+      /*subset=*/false, /*max_members=*/64, &members);
+  EXPECT_TRUE(members.empty());  // {1, 2, 2} is not {1, 1, 2}
+  index.Remove(shuffled);
+  index.Remove(doubled);
+  EXPECT_EQ(index.Size(), 0);
+}
+
 // --- fused-result cache ----------------------------------------------------
+
+std::shared_ptr<const FusionResult> ResultOf(const Query& query) {
+  auto result = std::make_shared<FusionResult>();
+  result->leader = query.id;
+  result->items = query.items;
+  return result;
+}
+
+TEST(FusionResultCacheTest, SubsetLookupReapsOnlyExpiredCoveringEntries) {
+  const Database db(8);
+  FusionResultCache cache;
+  const Query a = MakeIndexQuery(1, QueryType::kAggregation, {1, 2});
+  const Query b = MakeIndexQuery(2, QueryType::kAggregation, {3, 1});
+  const Query c = MakeIndexQuery(3, QueryType::kAggregation, {1, 4});
+  const Query d = MakeIndexQuery(4, QueryType::kAggregation, {2, 5});
+  cache.Fill(a, ResultOf(a), 0, /*now=*/0, /*ttl=*/10, db);
+  cache.Fill(b, ResultOf(b), 0, /*now=*/5, /*ttl=*/100, db);
+  cache.Fill(c, ResultOf(c), 0, /*now=*/2, /*ttl=*/10, db);
+  cache.Fill(d, ResultOf(d), 0, /*now=*/0, /*ttl=*/10, db);
+  ASSERT_EQ(cache.Size(), 4);
+
+  // a and c cover item 1 and have expired; b covers it and lives; d has
+  // expired too but does not cover item 1, so this lookup leaves it.
+  const Query lookup = MakeIndexQuery(9, QueryType::kLookup, {1});
+  const auto* hit = cache.Lookup(lookup, /*subset=*/true, /*now=*/20);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->source, b.id);
+  EXPECT_EQ(hit->sorted_items, std::vector<ItemId>({1, 3}));
+  ASSERT_EQ(cache.Size(), 2);
+  EXPECT_EQ(cache.EntriesForAudit().count(FusionIndex::Signature(d)), 1u);
+
+  // Once b expires the lookup empties item 1's row and misses.
+  EXPECT_EQ(cache.Lookup(lookup, /*subset=*/true, /*now=*/106), nullptr);
+  EXPECT_EQ(cache.Size(), 1);
+  // An exact lookup with its items in another order finds d, and
+  // invalidating one of d's items evicts it.
+  const Query d_twin = MakeIndexQuery(5, QueryType::kAggregation, {5, 2});
+  ASSERT_NE(cache.Lookup(d_twin, /*subset=*/false, /*now=*/10), nullptr);
+  cache.InvalidateItem(5);
+  EXPECT_EQ(cache.Size(), 0);
+  EXPECT_EQ(cache.Lookup(d_twin, /*subset=*/false, /*now=*/10), nullptr);
+}
+
+TEST(FusionResultCacheTest, InvalidateItemEvictsEveryCoveringEntry) {
+  const Database db(8);
+  FusionResultCache cache;
+  std::vector<Query> scans;
+  for (uint64_t i = 0; i < 4; ++i) {
+    scans.push_back(MakeIndexQuery(
+        i + 1, QueryType::kAggregation,
+        {static_cast<ItemId>(i + 2), 1, static_cast<ItemId>(i + 3)}));
+    cache.Fill(scans.back(), ResultOf(scans.back()), 0, 0, 100, db);
+  }
+  ASSERT_EQ(cache.Size(), 4);
+  cache.InvalidateItem(3);  // covered by scans 0 and 1
+  ASSERT_EQ(cache.Size(), 2);
+  EXPECT_EQ(cache.EntriesForAudit().count(FusionIndex::Signature(scans[2])),
+            1u);
+  cache.InvalidateItem(1);  // covered by the rest
+  EXPECT_EQ(cache.Size(), 0);
+  EXPECT_EQ(cache.Lookup(MakeIndexQuery(9, QueryType::kLookup, {4}),
+                         /*subset=*/true, 1),
+            nullptr);
+}
 
 constexpr SimDuration kTtl = Millis(50);
 

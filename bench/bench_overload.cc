@@ -176,8 +176,7 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<AdmissionKind> admissions = {
-      AdmissionKind::kAdmitAll, AdmissionKind::kQueueCap,
-      AdmissionKind::kExpectedProfit, AdmissionKind::kDbf};
+      AdmissionKind::kAdmitAll, AdmissionKind::kQueueCap, AdmissionKind::kDbf};
 
   std::vector<RowKey> keys;
   std::vector<SweepRunner::Point> points;
@@ -255,10 +254,8 @@ int main(int argc, char** argv) {
   };
   const Row* admit_all = headline_row(AdmissionKind::kAdmitAll);
   const Row* queue_cap = headline_row(AdmissionKind::kQueueCap);
-  const Row* expected = headline_row(AdmissionKind::kExpectedProfit);
   const Row* dbf = headline_row(AdmissionKind::kDbf);
-  WEBDB_CHECK(admit_all != nullptr && queue_cap != nullptr &&
-              expected != nullptr && dbf != nullptr);
+  WEBDB_CHECK(admit_all != nullptr && queue_cap != nullptr && dbf != nullptr);
   const bool dbf_beats_admit_all = dbf->profit > admit_all->profit;
   const bool dbf_beats_queue_cap = dbf->profit > queue_cap->profit;
 
@@ -449,7 +446,6 @@ int main(int argc, char** argv) {
                "    \"scenario\": \"market-open\", \"scale\": 10, \"cpus\": 4,\n"
                "    \"admit_all_profit\": %.3f,\n"
                "    \"queue_cap_profit\": %.3f,\n"
-               "    \"expected_profit_profit\": %.3f,\n"
                "    \"dbf_profit\": %.3f,\n"
                "    \"dbf_beats_admit_all\": %s,\n"
                "    \"dbf_beats_queue_cap\": %s\n"
@@ -478,8 +474,8 @@ int main(int argc, char** argv) {
                "    \"rerun_identical\": %s\n"
                "  },\n"
                "  \"tenants\": {\"spec\": \"%s\", \"rows\": [\n",
-               admit_all->profit, queue_cap->profit, expected->profit,
-               dbf->profit, dbf_beats_admit_all ? "true" : "false",
+               admit_all->profit, queue_cap->profit, dbf->profit,
+               dbf_beats_admit_all ? "true" : "false",
                dbf_beats_queue_cap ? "true" : "false", fusion_off.profit,
                fusion_on.profit, fusion_off.cpu_busy_s, fusion_on.cpu_busy_s,
                fusion_off.profit_per_cpu_s, fusion_on.profit_per_cpu_s,

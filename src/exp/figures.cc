@@ -431,9 +431,6 @@ std::vector<AblationRow> RunAdmissionAblation(const Trace& trace,
   variants.push_back(Variant{"admit-all", nullptr});
   variants.push_back(Variant{"queue-cap(64)",
                              std::make_unique<QueueCapAdmission>(64)});
-  variants.push_back(
-      Variant{"expected-profit",
-              std::make_unique<ExpectedProfitAdmission>(Millis(7), 1.0)});
   std::vector<SweepRunner::Point> points;
   for (Variant& variant : variants) {
     SweepRunner::Point point;

@@ -159,8 +159,9 @@ std::vector<std::pair<double, double>> RunAlphaSensitivity(
 std::vector<AblationRow> RunSlicingAblation(
     const Trace& trace, uint64_t qc_seed = 7,
     const SweepConfig& sweep = SweepConfig());
-// A5: admission control under overload (admit-all vs queue-cap vs
-// expected-profit shedding), QUTS scheduler.
+// A5: admission control under overload (admit-all vs queue-cap(64)), QUTS
+// scheduler. DBF admission is compared on the overload scenarios
+// (bench_overload), where its demand lanes have a burst to act on.
 std::vector<AblationRow> RunAdmissionAblation(
     const Trace& trace, uint64_t qc_seed = 7,
     const SweepConfig& sweep = SweepConfig());

@@ -72,7 +72,7 @@ std::string TenantSet::Spec() const {
   return out;
 }
 
-// --- Static policies -------------------------------------------------------
+// --- QueueCapAdmission -----------------------------------------------------
 
 QueueCapAdmission::QueueCapAdmission(int64_t max_queued_queries)
     : max_queued_(max_queued_queries) {
@@ -85,49 +85,22 @@ bool QueueCapAdmission::Admit(const Query&, const AdmissionContext& context) {
   return false;
 }
 
-ExpectedProfitAdmission::ExpectedProfitAdmission(SimDuration typical_exec,
-                                                 double min_worth)
-    : typical_exec_(typical_exec), min_worth_(min_worth) {
-  WEBDB_CHECK(typical_exec > 0);
-  WEBDB_CHECK(min_worth >= 0.0);
-}
-
-bool ExpectedProfitAdmission::Admit(const Query& query,
-                                    const AdmissionContext& context) {
-  const int64_t backlog = context.queued_queries + (context.cpu_busy ? 1 : 0);
-  const SimDuration predicted_wait = backlog * typical_exec_;
-  const SimDuration predicted_rt = predicted_wait + query.service_time;
-  const double reachable_qos = query.qc.QosProfit(predicted_rt);
-  // QoD potential survives a missed deadline under QoS-Independent QCs.
-  const double residual = reachable_qos + query.qc.qod_max();
-  if (residual >= min_worth_) return true;
-  ++rejected_;
-  return false;
-}
-
-// --- Shed policy -----------------------------------------------------------
-
-double ExpectedProfitShedPolicy::Worth(const Query& query, SimTime now) const {
-  const SimDuration best_response = (now - query.arrival) + query.remaining;
-  return query.qc.QosProfit(best_response) + query.qc.qod_max();
-}
-
 // --- DbfAdmission ----------------------------------------------------------
 
 DbfAdmission::DbfAdmission(Options options)
     : num_cpus_(options.num_cpus),
       supply_factor_(options.supply_factor),
-      tenants_(std::move(options.tenants)),
-      shed_policy_(std::move(options.shed_policy)) {
+      tenants_(std::move(options.tenants)) {
   WEBDB_CHECK(num_cpus_ >= 1);
   WEBDB_CHECK(supply_factor_ > 0.0);
-  if (shed_policy_ == nullptr) {
-    shed_policy_ = std::make_unique<ExpectedProfitShedPolicy>();
-  }
   demand_.resize(static_cast<size_t>(num_cpus_));
 }
 
-DbfAdmission::~DbfAdmission() = default;
+double DbfAdmission::Worth(const Query& query, SimTime now) const {
+  const SimDuration best_response = (now - query.arrival) + query.remaining;
+  return (query.qc.QosProfit(best_response) + query.qc.qod_max()) /
+         tenants_.WeightFor(query.tenant);
+}
 
 std::optional<DbfAdmission::Entry> DbfAdmission::DemandOf(const Query& query,
                                                           SimTime now) const {
@@ -233,8 +206,7 @@ bool DbfAdmission::Admit(const Query& query, const AdmissionContext& context) {
     ++rejected_;
     return false;
   }
-  const double incoming_worth = shed_policy_->Worth(query, context.now) /
-                                tenants_.WeightFor(query.tenant);
+  const double incoming_worth = Worth(query, context.now);
 
   struct Candidate {
     double worth = 0.0;
@@ -244,8 +216,7 @@ bool DbfAdmission::Admit(const Query& query, const AdmissionContext& context) {
   std::vector<Candidate> candidates;
   candidates.reserve(entries_.size());
   for (const auto& [id, entry] : entries_) {
-    const double worth = shed_policy_->Worth(*entry.query, context.now) /
-                         tenants_.WeightFor(entry.query->tenant);
+    const double worth = Worth(*entry.query, context.now);
     if (worth < incoming_worth) candidates.push_back({worth, id, entry.cpu});
   }
   std::sort(candidates.begin(), candidates.end(),

@@ -23,29 +23,27 @@ constexpr uint64_t kAuditStrideMask = 63;
 WebDatabaseServer::WebDatabaseServer(Database* database,
                                      CpuSetScheduler* scheduler,
                                      ServerConfig config)
-    : db_(database),
-      sched_(scheduler),
-      config_(config),
-      owned_sim_(std::make_unique<Simulator>()),
-      sim_(owned_sim_.get()),
-      cpus_(sim_, scheduler == nullptr ? 1 : scheduler->num_cpus()),
-      wake_events_(cpus_.num_cpus(), 0),
-      wake_times_(cpus_.num_cpus(), kSimTimeMax) {
-  WEBDB_CHECK(database != nullptr && scheduler != nullptr);
-  SizeItemTables();
-}
+    : WebDatabaseServer(std::make_unique<Simulator>(), nullptr, database,
+                        scheduler, config) {}
 
 WebDatabaseServer::WebDatabaseServer(Simulator* simulator, Database* database,
+                                     CpuSetScheduler* scheduler,
+                                     ServerConfig config)
+    : WebDatabaseServer(nullptr, simulator, database, scheduler, config) {}
+
+WebDatabaseServer::WebDatabaseServer(std::unique_ptr<Simulator> owned_sim,
+                                     Simulator* shared_sim, Database* database,
                                      CpuSetScheduler* scheduler,
                                      ServerConfig config)
     : db_(database),
       sched_(scheduler),
       config_(config),
-      sim_(simulator),
+      owned_sim_(std::move(owned_sim)),
+      sim_(owned_sim_ != nullptr ? owned_sim_.get() : shared_sim),
       cpus_(sim_, scheduler == nullptr ? 1 : scheduler->num_cpus()),
       wake_events_(cpus_.num_cpus(), 0),
       wake_times_(cpus_.num_cpus(), kSimTimeMax) {
-  WEBDB_CHECK(simulator != nullptr);
+  WEBDB_CHECK(sim_ != nullptr);
   WEBDB_CHECK(database != nullptr && scheduler != nullptr);
   SizeItemTables();
 }
@@ -123,9 +121,7 @@ Query* WebDatabaseServer::SubmitQuery(QueryType type,
   query.tenant = tenant;
 
   ++metrics_.queries_submitted;
-  ServerMetrics::TenantCounters* tenant_counters =
-      config_.tenants != nullptr ? &metrics_.Tenant(tenant) : nullptr;
-  if (tenant_counters != nullptr) ++*tenant_counters->submitted;
+  if (config_.tenants != nullptr) ++*metrics_.Tenant(tenant).submitted;
   Trace(query, TraceEventType::kSubmit);
   // Rejected queries still count against the submitted maximum: turning a
   // user away is not free profit-wise.
@@ -136,14 +132,10 @@ Query* WebDatabaseServer::SubmitQuery(QueryType type,
   if (TryServeFromCache(query)) return &query;
   if (config_.admission != nullptr) {
     AdmissionContext context{sim_->Now(), sched_->NumQueuedQueries(),
-                             sched_->NumQueuedUpdates(), cpus_.AnyBusy(),
                              cpus_.num_cpus(), this};
     // Admit may shed queued work through the ShedSink before answering.
     if (!config_.admission->Admit(query, context)) {
-      query.state = TxnState::kRejected;
-      ++metrics_.queries_rejected;
-      if (tenant_counters != nullptr) ++*tenant_counters->rejected;
-      Trace(query, TraceEventType::kReject);
+      RetireQuery(query, TxnState::kRejected);
       return &query;
     }
   }
@@ -539,18 +531,7 @@ void WebDatabaseServer::OnLifetimeDeadline(TxnId id) {
   // settles with the scan it rides on (zero profit when expired) or is
   // dropped at dissolution.
   if (query.state != TxnState::kQueued) return;
-  // A preempted leader dropped at its deadline takes its scan with it.
-  DissolveFusionGroup(query);
-  UnindexForFusion(query);
-  sched_->RemoveQueued(&query, sim_->Now());
-  locks_.ReleaseAll(id);  // it may have been preempted while holding locks
-  query.state = TxnState::kDropped;
-  ++metrics_.queries_dropped;
-  if (config_.tenants != nullptr) ++*metrics_.Tenant(query.tenant).dropped;
-  Trace(query, TraceEventType::kDrop);
-  if (config_.admission != nullptr) {
-    config_.admission->OnQueryFinished(query, sim_->Now());
-  }
+  EvictQueued(query, TxnState::kDropped);
   OnSchedulingEvent();
 }
 
@@ -559,17 +540,7 @@ bool WebDatabaseServer::Shed(TxnId id) {
   // Fused members report unsheddable (like running queries): their cost is
   // already sunk into the leader's scan, so evicting them frees no CPU.
   if (query.state != TxnState::kQueued) return false;
-  DissolveFusionGroup(query);
-  UnindexForFusion(query);
-  sched_->RemoveQueued(&query, sim_->Now());
-  locks_.ReleaseAll(id);  // it may have been preempted while holding locks
-  query.state = TxnState::kShed;
-  ++metrics_.queries_shed;
-  if (config_.tenants != nullptr) ++*metrics_.Tenant(query.tenant).shed;
-  Trace(query, TraceEventType::kShed);
-  if (config_.admission != nullptr) {
-    config_.admission->OnQueryFinished(query, sim_->Now());
-  }
+  EvictQueued(query, TxnState::kShed);
   // No OnSchedulingEvent: shedding only ever happens synchronously inside
   // SubmitQuery's admission check, which runs one after enqueueing the
   // admitted query — and removing queued (never running) work opens no
@@ -577,14 +548,46 @@ bool WebDatabaseServer::Shed(TxnId id) {
   return true;
 }
 
-void WebDatabaseServer::MaybeIndexForFusion(Query& query) {
-  if (!config_.fusion.enabled) return;
-  if (query.state != TxnState::kQueued) return;
-  if (query.items.empty() ||
-      static_cast<int>(query.items.size()) >
-          config_.fusion.max_leader_items) {
-    return;
+void WebDatabaseServer::EvictQueued(Query& query, TxnState state) {
+  // A preempted leader leaving the queue takes its scan with it.
+  DissolveFusionGroup(query);
+  UnindexForFusion(query);
+  sched_->RemoveQueued(&query, sim_->Now());
+  locks_.ReleaseAll(query.id);  // it may have been preempted holding locks
+  RetireQuery(query, state);
+}
+
+void WebDatabaseServer::RetireQuery(Query& query, TxnState state) {
+  ServerMetrics::TenantCounters* tenant =
+      config_.tenants != nullptr ? &metrics_.Tenant(query.tenant) : nullptr;
+  query.state = state;
+  switch (state) {
+    case TxnState::kRejected:
+      ++metrics_.queries_rejected;
+      if (tenant != nullptr) ++*tenant->rejected;
+      Trace(query, TraceEventType::kReject);
+      // Never admitted: the controller holds nothing for it to release.
+      return;
+    case TxnState::kDropped:
+      ++metrics_.queries_dropped;
+      if (tenant != nullptr) ++*tenant->dropped;
+      Trace(query, TraceEventType::kDrop);
+      break;
+    case TxnState::kShed:
+      ++metrics_.queries_shed;
+      if (tenant != nullptr) ++*tenant->shed;
+      Trace(query, TraceEventType::kShed);
+      break;
+    default:
+      WEBDB_CHECK_MSG(false, "a query retires only rejected, dropped or shed");
   }
+  if (config_.admission != nullptr) {
+    config_.admission->OnQueryFinished(query, sim_->Now());
+  }
+}
+
+void WebDatabaseServer::MaybeIndexForFusion(Query& query) {
+  if (!config_.fusion.enabled || query.state != TxnState::kQueued) return;
   // Preempt-resumed queries carry progress and (under 2PL-HP) locks;
   // fusing one would discard real work or attach a lock holder. Only fresh
   // arrivals and clean restarts are candidates.
@@ -601,13 +604,8 @@ void WebDatabaseServer::UnindexForFusion(Query& query) {
 }
 
 void WebDatabaseServer::AttachFusionMembers(Query& leader) {
-  if (!config_.fusion.enabled || fusion_index_.Size() == 0) return;
-  if (leader.items.empty() ||
-      static_cast<int>(leader.items.size()) >
-          config_.fusion.max_leader_items ||
-      EffectiveFusionDomain(leader) < 0) {
-    return;
-  }
+  // The index is empty whenever fusion is off.
+  if (fusion_index_.Size() == 0 || EffectiveFusionDomain(leader) < 0) return;
   auto group_it = fusion_groups_.find(leader.id);
   const int carried = group_it == fusion_groups_.end()
                           ? 0
@@ -640,15 +638,7 @@ void WebDatabaseServer::SettleFusionGroup(Query& leader) {
   fusion_groups_.erase(it);
   // Snapshot the scan's answer once; every waiter shares the immutable
   // buffer (fused-result-mutation lint rule keeps aliases const).
-  FusionResult answer;
-  answer.leader = leader.id;
-  answer.items = leader.items;
-  answer.values.reserve(leader.items.size());
-  for (ItemId item : leader.items) {
-    answer.values.push_back(db_->Item(item).value);
-  }
-  answer.scan_complete = sim_->Now();
-  const auto result = std::make_shared<const FusionResult>(std::move(answer));
+  const std::shared_ptr<const FusionResult> result = SnapshotResult(leader);
   leader.fused_result = result;
   for (TxnId id : members) {
     Query& member = QueryFor(id);
@@ -680,15 +670,7 @@ void WebDatabaseServer::DissolveFusionGroup(Query& leader) {
       // Its lifetime-deadline event fired while it was fused (and found
       // nothing queued to drop): settle the drop at dissolution instead of
       // requeueing a corpse that can never earn profit.
-      member.state = TxnState::kDropped;
-      ++metrics_.queries_dropped;
-      if (config_.tenants != nullptr) {
-        ++*metrics_.Tenant(member.tenant).dropped;
-      }
-      Trace(member, TraceEventType::kDrop);
-      if (config_.admission != nullptr) {
-        config_.admission->OnQueryFinished(member, sim_->Now());
-      }
+      RetireQuery(member, TxnState::kDropped);
       continue;
     }
     member.state = TxnState::kQueued;
@@ -699,21 +681,21 @@ void WebDatabaseServer::DissolveFusionGroup(Query& leader) {
 }
 
 int WebDatabaseServer::EffectiveFusionDomain(const Query& query) const {
+  if (!config_.fusion.enabled || query.items.empty() ||
+      static_cast<int>(query.items.size()) > config_.fusion.max_leader_items) {
+    return -1;
+  }
   const int domain = sched_->FusionDomain(query);
   if (domain >= 0 || !config_.fusion.cross_shard_rendezvous) return domain;
   return sched_->RendezvousDomain(query);
 }
 
 bool WebDatabaseServer::TryServeFromCache(Query& query) {
-  if (!config_.fusion.enabled || !config_.fusion.result_cache) return false;
-  if (query.items.empty() ||
-      static_cast<int>(query.items.size()) >
-          config_.fusion.max_leader_items) {
-    return false;
-  }
   // Same domain gate as queue fusion: a shape that could never fuse (e.g.
   // cross-shard without rendezvous) is never cache-served either.
-  if (EffectiveFusionDomain(query) < 0) return false;
+  if (!config_.fusion.result_cache || EffectiveFusionDomain(query) < 0) {
+    return false;
+  }
   const FusionResultCache::Entry* entry =
       result_cache_.Lookup(query, config_.fusion.subset_fusion, sim_->Now());
   if (entry == nullptr) return false;
@@ -732,32 +714,30 @@ bool WebDatabaseServer::TryServeFromCache(Query& query) {
 }
 
 void WebDatabaseServer::MaybeFillResultCache(Query& query) {
-  if (!config_.fusion.enabled || !config_.fusion.result_cache) return;
-  if (config_.fusion.cache_ttl <= 0) return;
-  if (query.items.empty() ||
-      static_cast<int>(query.items.size()) >
-          config_.fusion.max_leader_items) {
-    return;
-  }
+  if (!config_.fusion.result_cache || config_.fusion.cache_ttl <= 0) return;
   const int domain = EffectiveFusionDomain(query);
   if (domain < 0) return;
-  std::shared_ptr<const FusionResult> result = query.fused_result;
-  if (result == nullptr) {
-    // Cacheable solo commit: snapshot the answer exactly as a group settle
-    // would, without marking the query itself as fused.
-    FusionResult answer;
-    answer.leader = query.id;
-    answer.items = query.items;
-    answer.values.reserve(query.items.size());
-    for (ItemId item : query.items) {
-      answer.values.push_back(db_->Item(item).value);
-    }
-    answer.scan_complete = sim_->Now();
-    result = std::make_shared<const FusionResult>(std::move(answer));
-  }
+  // A cacheable solo commit snapshots its answer exactly as a group settle
+  // would, without marking the query itself as fused.
+  std::shared_ptr<const FusionResult> result =
+      query.fused_result != nullptr ? query.fused_result
+                                    : SnapshotResult(query);
   result_cache_.Fill(query, std::move(result), domain, sim_->Now(),
                      config_.fusion.cache_ttl, *db_);
   ++metrics_.cache_fills;
+}
+
+std::shared_ptr<const FusionResult> WebDatabaseServer::SnapshotResult(
+    const Query& scan) const {
+  FusionResult answer;
+  answer.leader = scan.id;
+  answer.items = scan.items;
+  answer.values.reserve(scan.items.size());
+  for (ItemId item : scan.items) {
+    answer.values.push_back(db_->Item(item).value);
+  }
+  answer.scan_complete = sim_->Now();
+  return std::make_shared<const FusionResult>(std::move(answer));
 }
 
 void WebDatabaseServer::ScheduleWake() {

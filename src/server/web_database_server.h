@@ -145,6 +145,11 @@ class WebDatabaseServer : private ShedSink {
   uint64_t EndStateHash() const;
 
  private:
+  // Both public constructors land here; `owned_sim` wins when non-null.
+  WebDatabaseServer(std::unique_ptr<Simulator> owned_sim,
+                    Simulator* shared_sim, Database* database,
+                    CpuSetScheduler* scheduler, ServerConfig config);
+
   Transaction* Lookup(TxnId id);
   Query& QueryFor(TxnId id);
   Update& UpdateFor(TxnId id);
@@ -193,10 +198,15 @@ class WebDatabaseServer : private ShedSink {
   void DissolveFusionGroup(Query& leader);
   // Fusion (or, when cross_shard_rendezvous is on and the per-shard domain
   // rejects the query, rendezvous) domain — the single gate every fusion
-  // and cache path uses. Negative means "never share". Const but able to
-  // intern rendezvous domains through sched_; the auditor only ever asks
-  // about queries whose domains were interned at index/attach time.
+  // and cache path uses. Negative means "never share": fusion is off, the
+  // item set is empty or longer than max_leader_items, or no domain takes
+  // the query. Const but able to intern rendezvous domains through sched_;
+  // the auditor only ever asks about queries whose domains were interned at
+  // index/attach time.
   int EffectiveFusionDomain(const Query& query) const;
+  // The committed answer of `scan` (its items' current values), stamped
+  // now: shared by a settled group's members and by the result cache.
+  std::shared_ptr<const FusionResult> SnapshotResult(const Query& scan) const;
   // Answers `query` from the fused-result cache when a live compatible
   // entry exists: commits it immediately at zero scan cost, with staleness
   // charged from the cached commit time. Returns true on a hit (the query
@@ -211,6 +221,17 @@ class WebDatabaseServer : private ShedSink {
   // ShedSink: evicts the queued query `id` on behalf of the admission
   // controller (state -> kShed); returns false when no longer queued.
   bool Shed(TxnId id) override;
+  // The eviction shared by lifetime drop and shed: dissolves the scan the
+  // queued `query` leads, takes it out of the fusion index and its queue,
+  // releases the locks it may hold from a preempted attempt, then retires
+  // it as `state`.
+  void EvictQueued(Query& query, TxnState state);
+  // The one exit for a query that leaves without a scan of its own: sets
+  // `state` (kRejected, kDropped or kShed), bumps the server and tenant
+  // counters and traces the exit. Dropped and shed queries were admitted,
+  // so the admission controller is told they finished; rejected ones were
+  // never admitted and are not.
+  void RetireQuery(Query& query, TxnState state);
   // Keeps one wake-up event per CPU armed for that CPU's next decision
   // time (QUTS atom boundaries are per-shard, hence per-CPU).
   void ScheduleWake();
